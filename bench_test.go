@@ -326,5 +326,7 @@ func BenchmarkEmulator(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(w.M.Stats.Instructions-i0)/float64(b.N), "eminstr/op")
+	n := w.M.Stats.Instructions - i0
+	b.ReportMetric(float64(n)/float64(b.N), "eminstr/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/eminstr")
 }

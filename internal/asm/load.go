@@ -43,12 +43,12 @@ func Load(m *vm.Machine, src string) (*Image, error) {
 	if err := m.Mem.WriteBytes(codeAddr, p.Code); err != nil {
 		return nil, err
 	}
+	m.InvalidateCode(codeAddr, uint64(len(p.Code)))
 	if len(p.Data) > 0 {
 		if err := m.Mem.WriteBytes(dataAddr, p.Data); err != nil {
 			return nil, err
 		}
 	}
-	m.InvalidateICache()
 	return &Image{Program: p, Machine: m}, nil
 }
 

@@ -11,8 +11,8 @@ import (
 // TestRewriteBatchSameFunction hammers the concurrency contract from the
 // worst angle: many simultaneous rewrites of the *same* function. Every
 // tracer reads the same code bytes and every completion races into
-// InstallJIT and the icache invalidation on the shared machine. Run under
-// -race this exercises the serialization that RewriteBatch documents;
+// InstallJIT and the decode-table invalidation on the shared machine. Run
+// under -race this exercises the serialization that RewriteBatch documents;
 // functionally it checks that no variant's code was corrupted by a
 // concurrent installation.
 func TestRewriteBatchSameFunction(t *testing.T) {

@@ -51,7 +51,8 @@ func dumpRecorderOnFailure(t *testing.T) {
 //     requests submitted concurrently in the same round always specialize
 //     (the cache is never poisoned, the queue never wedges);
 //   - every outcome is callable and the sweep checksum always matches the
-//     golden reference, specialized or degraded;
+//     golden reference, specialized or degraded; a degraded outcome names
+//     its reason, and no call ever fetches from freed JIT code;
 //   - after Close the code-buffer accounting returns to the baseline, so
 //     chaos cannot leak JIT space through the cache, the orphan list, or
 //     the queue;
@@ -134,6 +135,9 @@ func TestChaosServiceNeverWrongNeverLeaks(t *testing.T) {
 			}
 			if out.Degraded {
 				degradedReqs++
+				if out.Reason == "" {
+					t.Fatalf("seed %d: request %d degraded without a named reason (%v)", seed, i, out.Err)
+				}
 			}
 
 			// The checksum matches the golden reference whether the
@@ -149,6 +153,9 @@ func TestChaosServiceNeverWrongNeverLeaks(t *testing.T) {
 				t.Fatalf("seed %d: request %d wrong result %g, want %g (degraded=%v)",
 					seed, i, got, want, out.Degraded)
 			}
+		}
+		if n := m.DecodeStats().FreedCodeFaults; n != 0 {
+			t.Fatalf("seed %d: %d fetches hit freed JIT code", seed, n)
 		}
 
 		// Fault→event correspondence: every fault the round's injectors

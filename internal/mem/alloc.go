@@ -72,6 +72,13 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 	return 0, fmt.Errorf("%w: need %d bytes", ErrNoSpace, n)
 }
 
+// AllocSize returns the size of the live allocation at addr, as rounded up
+// by Alloc.
+func (a *Allocator) AllocSize(addr uint64) (uint64, bool) {
+	n, ok := a.live[addr]
+	return n, ok
+}
+
 // Free releases an allocation made by Alloc.
 func (a *Allocator) Free(addr uint64) error {
 	n, ok := a.live[addr]

@@ -33,8 +33,9 @@ func faultEventsSince(seq uint64) map[string]uint64 {
 // seed-varied fault injection until at least 1000 faults have fired
 // (about 150 under -short) and asserts the robustness invariant on every
 // run: the checksum always equals the reference, no call ever fails, no
-// panic ever escapes. Failures may only cost speed — degraded and
-// deoptimized entries run the original kernel.
+// panic ever escapes, no call ever executes freed JIT code. Failures may
+// only cost speed — degraded and deoptimized entries run the original
+// kernel, and each names its reason.
 //
 // One machine and workload are shared across seeds (compilation is the
 // dominant cost); every seed releases its entries and restores the
@@ -197,6 +198,15 @@ func TestChaosNeverWrongNeverCrashed(t *testing.T) {
 			if _, err := m.CallFloat(poke, []uint64{w.S5 + 8}, []float64{-1.0}); err != nil {
 				t.Fatalf("seed %d: restore: %v", seed, err)
 			}
+		}
+
+		// Every degraded or deoptimized entry names its reason, and no
+		// call this seed fetched from a freed body.
+		if d, reason := e.Deopted(); (d || e.Degraded()) && reason == "" {
+			t.Fatalf("seed %d: entry degraded or deopted without a named reason", seed)
+		}
+		if n := m.DecodeStats().FreedCodeFaults; n != 0 {
+			t.Fatalf("seed %d: %d fetches hit freed JIT code", seed, n)
 		}
 
 		mgr.Release(e)

@@ -373,7 +373,7 @@ func (g *Manager) installStub(target uint64) (uint64, error) {
 }
 
 // patchStub retargets an existing stub (requires mgr.mu or an otherwise
-// quiescent entry). WriteJIT invalidates the decode cache, so the change
+// quiescent entry). WriteJIT invalidates the stub's decode, so the change
 // is visible to the very next emulated instruction fetch.
 func (g *Manager) patchStub(stub, target uint64) {
 	ins := isa.MakeRel(isa.JMP, target)

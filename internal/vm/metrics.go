@@ -14,13 +14,18 @@ var (
 	mBranches = telemetry.Default.Counter("vm.branches")
 	mTaken    = telemetry.Default.Counter("vm.taken_branches")
 	mCalls    = telemetry.Default.Counter("vm.calls")
+
+	mDecodeMisses     = telemetry.Default.Counter("vm.decode_misses")
+	mDecodeInvals     = telemetry.Default.Counter("vm.decode_invalidations")
+	mDecodeInvalSlots = telemetry.Default.Counter("vm.decode_invalidated_slots")
+	mFreedCodeFaults  = telemetry.Default.Counter("vm.freed_code_faults")
 )
 
 // PublishTelemetry pushes the machine's counter growth since the last
-// publication into the telemetry registry: vm.* execution counters and
-// cache.<level>.{hits,misses,evictions} per cache level. It is called
-// automatically after every top-level Call/CallFloat and is safe (and
-// cheap — one atomic load) to call with telemetry disabled.
+// publication into the telemetry registry: vm.* execution and decode-table
+// counters and cache.<level>.{hits,misses,evictions} per cache level. It is
+// called automatically after every top-level Call/CallFloat and is safe
+// (and cheap — one atomic load) to call with telemetry disabled.
 func (m *Machine) PublishTelemetry() {
 	if !telemetry.Enabled() {
 		return
@@ -34,6 +39,12 @@ func (m *Machine) PublishTelemetry() {
 	mBranches.Add(d.Branches)
 	mTaken.Add(d.TakenBranches)
 	mCalls.Add(d.Calls)
+	dd := m.decode
+	mDecodeMisses.Add(dd.Misses - m.pubDecode.Misses)
+	mDecodeInvals.Add(dd.Invalidations - m.pubDecode.Invalidations)
+	mDecodeInvalSlots.Add(dd.InvalidatedSlots - m.pubDecode.InvalidatedSlots)
+	mFreedCodeFaults.Add(dd.FreedCodeFaults - m.pubDecode.FreedCodeFaults)
+	m.pubDecode = dd
 	if m.Cache == nil {
 		return
 	}

@@ -2,6 +2,22 @@
 // both the original compiled functions and the BREW-rewritten functions run.
 // It charges a cycle cost per instruction plus memory-hierarchy latency from
 // the cache model, standing in for the paper's hardware measurements.
+//
+// Fetch goes through a predecoded instruction table over the executable
+// span (the code and JIT segments): lazily allocated pages with one slot
+// per byte offset, each pointing at an immutable decoded entry that also
+// carries the opcode's cycle cost, so a step does two slice lookups and
+// copies no instruction. The table is invalidated by address range:
+// InvalidateCode(addr, n) drops every decode overlapping the range,
+// including one starting up to a maximum instruction length before it.
+// LoadCode, WriteJIT, InstallJIT and FreeJIT invalidate what they write,
+// emulated stores into the span invalidate themselves, and any other
+// writer of executable memory (the asm and minc loaders, tests) must call
+// InvalidateCode before the machine runs again. FreeJIT also fills the
+// freed range with an undecodable byte, so a stale jump into released code
+// faults with ErrFreedCode. The machine must not be executing during
+// InstallJIT, WriteJIT or FreeJIT (a write-watchpoint handler patching a
+// stub with WriteJIT is the one exception: it runs inside the store path).
 package vm
 
 import (
@@ -127,8 +143,9 @@ type Machine struct {
 
 	// Telemetry delta baselines: counters already published to the
 	// process-wide registry at the last Call/CallFloat boundary.
-	pubStats Stats
-	pubCache []cacheLevelStats
+	pubStats  Stats
+	pubCache  []cacheLevelStats
+	pubDecode DecodeStats
 
 	// jitMu serializes JIT allocation and installation, allowing several
 	// rewrites to run concurrently (their traces only read memory).
@@ -139,7 +156,12 @@ type Machine struct {
 	watches []*Watch
 
 	haltAddr uint64
-	icache   map[uint64]isa.Instr
+
+	// dt is the predecoded instruction table over the executable span
+	// (see decode.go); scratch holds a decode from outside it.
+	dt      decodeTable
+	scratch decoded
+	decode  DecodeStats
 }
 
 // New builds a machine with the default layout and the default cache
@@ -149,7 +171,6 @@ func New() (*Machine, error) {
 		Mem:      &mem.Memory{},
 		Cache:    cache.Default(),
 		FuncCost: make(map[uint64]int),
-		icache:   make(map[uint64]isa.Instr),
 	}
 	segs := []struct {
 		name string
@@ -168,6 +189,7 @@ func New() (*Machine, error) {
 			return nil, err
 		}
 	}
+	m.dt = newDecodeTable(m.Mem.Segments())
 	m.CodeAlloc = mem.NewAllocator(CodeBase, CodeSize, 16)
 	m.JITAlloc = mem.NewAllocator(JITBase, JITSize, 16)
 	m.DataAlloc = mem.NewAllocator(DataBase, DataSize, 16)
@@ -212,24 +234,28 @@ func (m *Machine) LoadCode(code []byte) (uint64, error) {
 	if err := m.Mem.WriteBytes(addr, code); err != nil {
 		return 0, err
 	}
-	m.InvalidateICache()
+	m.InvalidateCode(addr, uint64(len(code)))
 	return addr, nil
 }
 
 // WriteJIT copies rewriter output into the JIT segment at addr (previously
-// reserved from JITAlloc) and invalidates the decode cache.
+// reserved from JITAlloc) under the JIT lock and invalidates the decodes
+// the write overlaps. Outside a write-watchpoint handler, the machine must
+// not be executing meanwhile.
 func (m *Machine) WriteJIT(addr uint64, code []byte) error {
+	m.jitMu.Lock()
+	defer m.jitMu.Unlock()
 	if err := m.Mem.WriteBytes(addr, code); err != nil {
 		return err
 	}
-	m.InvalidateICache()
+	m.invalidateCode(addr, uint64(len(code)))
 	return nil
 }
 
 // InstallJIT reserves size bytes of executable JIT space, calls gen with
 // the final address to produce relocated code, and installs it. The whole
 // sequence holds the machine's JIT lock, so multiple rewrites may install
-// concurrently (the machine must not be executing meanwhile).
+// concurrently; the machine must not be executing meanwhile.
 func (m *Machine) InstallJIT(size int, gen func(addr uint64) ([]byte, error)) (uint64, error) {
 	m.jitMu.Lock()
 	defer m.jitMu.Unlock()
@@ -256,36 +282,13 @@ func (m *Machine) InstallJIT(size int, gen func(addr uint64) ([]byte, error)) (u
 		return 0, err
 	}
 	installed = true
-	m.InvalidateICache()
+	m.invalidateCode(addr, uint64(size))
 	return addr, nil
-}
-
-// InvalidateICache drops all cached decodes; required after any code write.
-func (m *Machine) InvalidateICache() {
-	if len(m.icache) > 0 {
-		m.icache = make(map[uint64]isa.Instr)
-	}
 }
 
 // fault decorates an execution error with the current PC.
 func (m *Machine) fault(err error) error {
 	return fmt.Errorf("vm: at pc=0x%x: %w", m.CPU.PC, err)
-}
-
-func (m *Machine) fetch() (isa.Instr, error) {
-	if ins, ok := m.icache[m.CPU.PC]; ok {
-		return ins, nil
-	}
-	b, err := m.Mem.FetchSlice(m.CPU.PC)
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	ins, err := isa.Decode(b, m.CPU.PC)
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	m.icache[m.CPU.PC] = ins
-	return ins, nil
 }
 
 // effAddr computes the effective address of a memory operand.
@@ -308,6 +311,10 @@ func (m *Machine) chargeMem(addr uint64, size int, isStore bool) {
 		}
 		if len(m.watches) > 0 {
 			m.hitWatches(addr, size)
+		}
+		// Self-modifying code: the code segment is writable.
+		if addr-m.dt.base < m.dt.span {
+			m.invalidateCode(addr, uint64(size))
 		}
 	} else {
 		m.Stats.Loads++
@@ -363,20 +370,23 @@ func (m *Machine) pop() (uint64, error) {
 // Step executes one instruction. It returns ErrHalted on HALT and ErrBreak
 // on BRK.
 func (m *Machine) Step() error {
-	ins, err := m.fetch()
-	if err != nil {
-		return m.fault(err)
-	}
 	c := &m.CPU
+	d := m.cached(c.PC)
+	if d == nil {
+		var err error
+		if d, err = m.decodeAt(c.PC); err != nil {
+			return m.fault(err)
+		}
+	}
+	ins := &d.ins
 	next := c.PC + uint64(ins.Len)
 	m.Stats.Instructions++
 	m.Stats.OpCount[ins.Op]++
-	m.Stats.Cycles += uint64(ins.Op.Cost())
+	m.Stats.Cycles += d.cost
 	if m.Prof != nil && m.Stats.Cycles >= m.Prof.nextAt {
 		m.Prof.sample(m.Stats.Cycles, c.PC)
 	}
 
-	info := isa.Info(ins.Op)
 	switch ins.Op {
 	case isa.NOP:
 
@@ -623,7 +633,7 @@ func (m *Machine) Step() error {
 		c.F[ins.Dst.Reg] = s
 
 	default:
-		return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", info.Name, ins))
+		return m.fault(fmt.Errorf("unimplemented opcode %s (%v)", ins.Op, *ins))
 	}
 
 	c.PC = next

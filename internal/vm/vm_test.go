@@ -431,7 +431,8 @@ func TestICacheInvalidation(t *testing.T) {
 	if r, _ := m.Call(f); r != 1 {
 		t.Fatalf("first call = %d", r)
 	}
-	// Overwrite with movi r0, 9; the icache must not serve the old decode.
+	// Overwrite with movi r0, 9; the decode table must not serve the old
+	// decode once the written range is invalidated.
 	p, err := asm.AssembleAt("f:\n movi r0, 9\n ret\n", f, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +440,7 @@ func TestICacheInvalidation(t *testing.T) {
 	if err := m.Mem.WriteBytes(f, p.Code); err != nil {
 		t.Fatal(err)
 	}
-	m.InvalidateICache()
+	m.InvalidateCode(f, uint64(len(p.Code)))
 	if r, _ := m.Call(f); r != 9 {
 		t.Errorf("after rewrite call = %d, want 9", r)
 	}

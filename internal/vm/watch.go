@@ -1,5 +1,7 @@
 package vm
 
+import "repro/internal/mem"
+
 // Watch is one write-watchpoint: OnHit fires for every architectural store
 // whose byte range overlaps [Start, End), including stores that merely
 // straddle a boundary of the range. The specialization manager arms
@@ -66,10 +68,25 @@ func (m *Machine) hitWatches(addr uint64, size int) {
 
 // FreeJIT releases a JIT allocation (a rewritten body, dispatcher or entry
 // stub) under the machine's JIT lock, so releases may race concurrent
-// InstallJIT calls (the specialization manager evicts while rewrites run).
+// InstallJIT calls (the specialization manager evicts while rewrites run);
+// the machine must not be executing meanwhile. The freed range is filled
+// with an undecodable byte and its decodes are dropped, so a stale jump
+// into it faults with ErrFreedCode instead of running the old code.
 func (m *Machine) FreeJIT(addr uint64) error {
 	m.jitMu.Lock()
 	defer m.jitMu.Unlock()
+	n, ok := m.JITAlloc.AllocSize(addr)
+	if !ok {
+		return m.JITAlloc.Free(addr) // reports the bad free
+	}
+	dst, err := m.Mem.Slice(addr, int(n), mem.PermWrite)
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = poisonByte
+	}
+	m.invalidateCode(addr, n)
 	return m.JITAlloc.Free(addr)
 }
 
