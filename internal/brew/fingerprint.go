@@ -1,7 +1,8 @@
 package brew
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -49,6 +50,10 @@ func (h *fp) funcOpts(o FuncOpts) {
 	h.i64(int64(o.MaxVariants))
 }
 
+// fpStackEntries sizes the stack buffers Fingerprint sorts each section
+// in: sections up to this many entries hash without allocating.
+const fpStackEntries = 8
+
 // Fingerprint returns a canonical 64-bit hash of the rewrite assumptions
 // this configuration declares: parameter classes, known memory ranges,
 // per-function options, handlers, limits, budget, flags, and the effort
@@ -77,44 +82,51 @@ func (c *Config) Fingerprint() uint64 {
 	}
 
 	h.tag("ranges")
-	ranges := append([]MemRange(nil), c.knownRanges...)
-	sort.Slice(ranges, func(i, j int) bool {
-		if ranges[i].Start != ranges[j].Start {
-			return ranges[i].Start < ranges[j].Start
+	if len(c.knownRanges) > 0 {
+		var buf [fpStackEntries]MemRange
+		ranges := append(buf[:0], c.knownRanges...)
+		slices.SortFunc(ranges, func(a, b MemRange) int {
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
+			}
+			return cmp.Compare(a.End, b.End)
+		})
+		for i, r := range ranges {
+			if i > 0 && r == ranges[i-1] {
+				continue // duplicates declare nothing new
+			}
+			h.u64(r.Start)
+			h.u64(r.End)
 		}
-		return ranges[i].End < ranges[j].End
-	})
-	var prev MemRange
-	for i, r := range ranges {
-		if i > 0 && r == prev {
-			continue // duplicates declare nothing new
-		}
-		h.u64(r.Start)
-		h.u64(r.End)
-		prev = r
 	}
 
 	h.tag("funcopts")
-	addrs := make([]uint64, 0, len(c.funcOpts))
-	for a := range c.funcOpts {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		h.u64(a)
-		h.funcOpts(c.funcOpts[a])
+	if len(c.funcOpts) > 0 {
+		var buf [fpStackEntries]uint64
+		addrs := buf[:0]
+		for a := range c.funcOpts {
+			addrs = append(addrs, a)
+		}
+		slices.Sort(addrs)
+		for _, a := range addrs {
+			h.u64(a)
+			h.funcOpts(c.funcOpts[a])
+		}
 	}
 
 	h.tag("dyn")
-	marks := make([]uint64, 0, len(c.dynMarkers))
-	for a, on := range c.dynMarkers {
-		if on {
-			marks = append(marks, a)
+	if len(c.dynMarkers) > 0 {
+		var buf [fpStackEntries]uint64
+		marks := buf[:0]
+		for a, on := range c.dynMarkers {
+			if on {
+				marks = append(marks, a)
+			}
 		}
-	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-	for _, a := range marks {
-		h.u64(a)
+		slices.Sort(marks)
+		for _, a := range marks {
+			h.u64(a)
+		}
 	}
 
 	h.tag("defaults")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/brew"
+	"repro/internal/stencil"
 )
 
 // TestFingerprintOrderIndependent proves the satellite contract: two
@@ -175,5 +176,77 @@ func TestCloneNil(t *testing.T) {
 	var c *brew.Config
 	if c.Clone() != nil {
 		t.Fatal("Clone of nil should be nil")
+	}
+}
+
+// goldenConfigs are the configurations whose fingerprints are pinned by
+// TestFingerprintGolden: one per section of the hash, plus the stencil
+// E1c apply configuration.
+func goldenConfigs() map[string]*brew.Config {
+	ranges := brew.NewConfig().SetParam(1, brew.ParamKnown).
+		SetMemRange(0x3000, 0x4000).SetMemRange(0x1000, 0x2000).
+		SetMemRange(0x1000, 0x1800).SetMemRange(0x3000, 0x4000)
+
+	opts := brew.NewConfig().
+		SetFuncOpts(0x200, brew.FuncOpts{BranchesUnknown: true, MaxVariants: 3}).
+		SetFuncOpts(0x100, brew.FuncOpts{NoInline: true}).
+		SetFuncOpts(0x300, brew.FuncOpts{UnrollFactor: 4})
+	opts.Defaults = brew.FuncOpts{ResultsUnknown: true}
+
+	dyn := brew.NewConfig().MarkDynamic(0x600).MarkDynamic(0x500).MarkDynamic(0x700)
+	dyn.SetFloatParam(2, brew.ParamKnown)
+
+	budget := brew.NewConfig().SetParam(3, brew.ParamKnown)
+	budget.Budget = &brew.Budget{MaxTracedInstrs: 5000, MaxEmittedBytes: 4096, Deadline: 3 * time.Millisecond}
+	budget.Effort = brew.EffortQuick
+	budget.Vectorize = true
+	budget.EntryHandler = 0x9000
+
+	return map[string]*brew.Config{
+		"new":      brew.NewConfig(),
+		"ranges":   ranges,
+		"funcopts": opts,
+		"dyn":      dyn,
+		"budget":   budget,
+		"stencil":  brew.NewConfig().SetParam(2, brew.ParamKnown).SetParamPtrToKnown(3, stencil.StructSSize),
+	}
+}
+
+// TestFingerprintGolden pins fingerprints to the values the
+// implementation has always produced: the specialization cache, the
+// service's shard placement and persisted spstore records all key on
+// them, so any change to the hashed bytes or their order must fail here.
+func TestFingerprintGolden(t *testing.T) {
+	want := map[string]uint64{
+		"new":      0xe63d86d81e69268c,
+		"ranges":   0xc45853519f494feb,
+		"funcopts": 0x9461a4ad7480e4e9,
+		"dyn":      0x5a651499ca8bec71,
+		"budget":   0x7eb084c4c698a626,
+		"stencil":  0x09c42619e3940def,
+	}
+	for name, cfg := range goldenConfigs() {
+		if got := cfg.Fingerprint(); got != want[name] {
+			t.Errorf("%s: Fingerprint = %#x, want %#x", name, got, want[name])
+		}
+	}
+}
+
+// TestFingerprintAllocs: sections of up to eight entries are sorted on
+// the stack, so Fingerprint allocates nothing.
+func TestFingerprintAllocs(t *testing.T) {
+	full := brew.NewConfig().SetParam(1, brew.ParamKnown)
+	for i := uint64(8); i > 0; i-- {
+		full.SetMemRange(i<<12, i<<12+0x800)
+		full.SetFuncOpts(i<<8, brew.FuncOpts{NoInline: i%2 == 0})
+		full.MarkDynamic(i << 4)
+	}
+	full.Budget = &brew.Budget{MaxTracedInstrs: 100}
+	cfgs := goldenConfigs()
+	cfgs["full"] = full
+	for name, cfg := range cfgs {
+		if n := testing.AllocsPerRun(100, func() { _ = cfg.Fingerprint() }); n != 0 {
+			t.Errorf("%s: Fingerprint allocated %v times/op, want 0", name, n)
+		}
 	}
 }

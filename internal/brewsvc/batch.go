@@ -53,7 +53,7 @@ func (s *Service) SubmitBatch(reqs []*Request) []*Ticket {
 			})
 			continue
 		}
-		ek := entryKeyOf(req)
+		ek, k := keysOf(req)
 		sh := s.shardOf(ek)
 		sh.st.submitted.Add(1)
 		if closed {
@@ -63,9 +63,7 @@ func (s *Service) SubmitBatch(reqs []*Request) []*Ticket {
 		tid := obs.StartTrace()
 		subStart := obs.Now()
 		cacheable := req.Config.Inject == nil
-		var k cacheKey
 		if cacheable {
-			k = keyOf(req)
 			lookStart := obs.Now()
 			cv, ok := s.cache.get(k)
 			obs.EndSpanOn(sh.id, tid, obs.StageCacheLookup, obs.TierNone, lookStart, req.Fn, 0)

@@ -180,8 +180,14 @@ func (t *Ticket) Outcome() Outcome {
 // Wait blocks until the request completes or ctx is done, returning the
 // outcome or the context error. The request itself is not cancelled — a
 // coalesced trace may be serving other callers; abandon the ticket and
-// the flight completes without you.
+// the flight completes without you. A completed outcome always wins over
+// a done context.
 func (t *Ticket) Wait(ctx context.Context) (Outcome, error) {
+	select {
+	case <-t.done:
+		return t.out, nil
+	default:
+	}
 	select {
 	case <-t.done:
 		return t.out, nil
@@ -495,8 +501,8 @@ func (s *Service) Submit(req *Request) *Ticket {
 	}
 	// Shard by entry key so sibling guard-value variants (which share a
 	// variant-table entry) land on one shard; uncacheable requests are
-	// partitioned the same way — entryKeyOf never reads Inject.
-	ek := entryKeyOf(req)
+	// partitioned the same way — keysOf never reads Inject.
+	ek, k := keysOf(req)
 	sh := s.shardOf(ek)
 	sh.st.submitted.Add(1)
 	if s.closed.Load() {
@@ -511,9 +517,7 @@ func (s *Service) Submit(req *Request) *Ticket {
 	// The fault-injection seam is per-request runtime behavior outside the
 	// fingerprint: such requests must not share traces or cache slots.
 	cacheable := req.Config.Inject == nil
-	var k cacheKey
 	if cacheable {
-		k = keyOf(req)
 		lookStart := obs.Now()
 		cv, ok := s.cache.get(k)
 		obs.EndSpanOn(sh.id, tid, obs.StageCacheLookup, obs.TierNone, lookStart, req.Fn, 0)
@@ -559,6 +563,15 @@ func (sh *shard) admitLocked(req *Request, k cacheKey, ek entryKey, cacheable bo
 			sh.st.coalesced.Add(1)
 			mCoalesceHits.Inc()
 			return t
+		}
+		// The flight for k may have completed between the lock-free
+		// lookup and this lock. Completion publishes the cache slot
+		// before it vacates the inflight slot under this lock, so a
+		// second lookup here closes the gap instead of re-tracing.
+		if cv, ok := s.cache.get(k); ok && cv.v.Live() {
+			sh.st.cacheHits.Add(1)
+			mCacheHits.Inc()
+			return doneTicket(Outcome{Entry: cv.e, Addr: cv.e.Addr(), Variant: cv.v, CacheHit: true})
 		}
 		sh.st.cacheMisses.Add(1)
 		mCacheMisses.Inc()

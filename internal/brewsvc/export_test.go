@@ -5,5 +5,6 @@ package brewsvc
 // specific shards (cross-shard isolation) and to predict ShardStats
 // attribution.
 func (s *Service) ShardIndexOf(req *Request) int {
-	return s.shardOf(entryKeyOf(req)).id
+	ek, _ := keysOf(req)
+	return s.shardOf(ek).id
 }

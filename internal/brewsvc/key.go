@@ -1,8 +1,9 @@
 package brewsvc
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/brew"
 	"repro/internal/isa"
@@ -57,27 +58,6 @@ func mixKnownParams(h uint64, req *Request) uint64 {
 	return h
 }
 
-// keyOf computes the request's cache key. Guards contribute
-// order-independently.
-func keyOf(req *Request) cacheKey {
-	h := mixKnownParams(keyOffset64, req)
-	if len(req.Guards) > 0 {
-		gs := append([]brew.ParamGuard(nil), req.Guards...)
-		sort.Slice(gs, func(i, j int) bool {
-			if gs[i].Param != gs[j].Param {
-				return gs[i].Param < gs[j].Param
-			}
-			return gs[i].Value < gs[j].Value
-		})
-		h = keyMix(h, uint64(len(gs))|1<<33)
-		for _, g := range gs {
-			h = keyMix(h, uint64(g.Param))
-			h = keyMix(h, g.Value)
-		}
-	}
-	return cacheKey{fn: req.Fn, cfg: req.Config.Fingerprint(), vals: h}
-}
-
 // entryKey identifies one variant-table entry: the function, the
 // configuration fingerprint (which includes the effort tier), the known
 // non-guard parameter values, and the SET of guarded parameters — but not
@@ -91,22 +71,35 @@ type entryKey struct {
 	vals uint64 // hash of known-parameter values and the guard param set
 }
 
-// entryKeyOf computes the request's entry key. Unguarded requests get one
-// entry per cache key, the pre-variant behavior.
-func entryKeyOf(req *Request) entryKey {
-	h := mixKnownParams(keyOffset64, req)
-	if len(req.Guards) > 0 {
-		params := make([]int, 0, len(req.Guards))
-		for _, g := range req.Guards {
-			params = append(params, g.Param)
-		}
-		sort.Ints(params)
-		h = keyMix(h, uint64(len(params))|1<<34)
-		for _, p := range params {
-			h = keyMix(h, uint64(p))
+// keysOf derives both of the request's keys in one pass: the
+// configuration fingerprint and the known-parameter hash are computed once
+// and the guards are sorted once, on the stack for up to eight guards.
+// Guards contribute order-independently. Unguarded requests get one entry
+// per cache key, the pre-variant behavior.
+func keysOf(req *Request) (entryKey, cacheKey) {
+	cfg := req.Config.Fingerprint()
+	base := mixKnownParams(keyOffset64, req)
+	ev, cv := base, base
+	if n := len(req.Guards); n > 0 {
+		var buf [8]brew.ParamGuard
+		gs := append(buf[:0], req.Guards...)
+		slices.SortFunc(gs, func(a, b brew.ParamGuard) int {
+			if a.Param != b.Param {
+				return cmp.Compare(a.Param, b.Param)
+			}
+			return cmp.Compare(a.Value, b.Value)
+		})
+		// The entry key hashes the sorted guard param set, the cache key
+		// the sorted (param, value) pairs.
+		ev = keyMix(ev, uint64(n)|1<<34)
+		cv = keyMix(cv, uint64(n)|1<<33)
+		for _, g := range gs {
+			ev = keyMix(ev, uint64(g.Param))
+			cv = keyMix(cv, uint64(g.Param))
+			cv = keyMix(cv, g.Value)
 		}
 	}
-	return entryKey{fn: req.Fn, cfg: req.Config.Fingerprint(), vals: h}
+	return entryKey{fn: req.Fn, cfg: cfg, vals: ev}, cacheKey{fn: req.Fn, cfg: cfg, vals: cv}
 }
 
 // hash folds the key into one word for shard selection.
@@ -122,10 +115,4 @@ func (k cacheKey) hash() uint64 {
 // Partitioning the service by entry key (not cache key) keeps sibling
 // guard-value variants — which share a variant-table entry — on one shard,
 // while unrelated fingerprints land on different shards and never contend.
-func (k entryKey) hash() uint64 {
-	h := keyOffset64
-	h = keyMix(h, k.fn)
-	h = keyMix(h, k.cfg)
-	h = keyMix(h, k.vals)
-	return h
-}
+func (k entryKey) hash() uint64 { return cacheKey(k).hash() }

@@ -40,7 +40,7 @@ func TestRemoteGetWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := openStore(t, Options{Remote: r})
-	k := keyOf(t, rec)
+	k := recKey(t, rec)
 	got, ok := s.Get(k)
 	if !ok || got.Key != rec.Key {
 		t.Fatalf("remote record not served (ok=%v)", ok)
@@ -70,7 +70,7 @@ func TestRemoteCorruptDropped(t *testing.T) {
 		t.Fatal("corrupt helper missed the key")
 	}
 	s := openStore(t, Options{Remote: r})
-	k := keyOf(t, rec)
+	k := recKey(t, rec)
 	if _, ok := s.Get(k); ok {
 		t.Fatal("corrupt remote blob served")
 	}
@@ -164,7 +164,7 @@ func TestRemotePutRetriesThenDrops(t *testing.T) {
 	if st.RemoteErrs != 3 || st.RemoteDrops != 1 || st.RemotePuts != 0 {
 		t.Fatalf("stats = %+v, want 3 errors then 1 drop", st)
 	}
-	if _, ok := s.Get(keyOf(t, rec)); !ok {
+	if _, ok := s.Get(recKey(t, rec)); !ok {
 		t.Fatal("local tier lost the record")
 	}
 }

@@ -22,7 +22,7 @@ func openStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
-func keyOf(t *testing.T, rec *Record) Key {
+func recKey(t *testing.T, rec *Record) Key {
 	t.Helper()
 	var k Key
 	if _, err := fmt.Sscanf(rec.Key, "%16x%16x", &k.Hi, &k.Lo); err != nil {
@@ -37,7 +37,7 @@ func TestStorePutGet(t *testing.T) {
 	if err := s.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(keyOf(t, rec))
+	got, ok := s.Get(recKey(t, rec))
 	if !ok {
 		t.Fatal("just-put record missed")
 	}
@@ -75,7 +75,7 @@ func TestStoreQuarantineOnCorrupt(t *testing.T) {
 	if err := s.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	k := keyOf(t, rec)
+	k := recKey(t, rec)
 	path := s.pathFor(k)
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestStoreOpenSweepsTemps(t *testing.T) {
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Fatal("stray temp file survived Open")
 	}
-	if _, ok := s2.Get(keyOf(t, rec)); !ok {
+	if _, ok := s2.Get(recKey(t, rec)); !ok {
 		t.Fatal("real record lost across reopen")
 	}
 }
@@ -147,7 +147,7 @@ func TestStoreManifestTornRecovery(t *testing.T) {
 	if g := s2.Generation(); g != 1 {
 		t.Fatalf("generation rebuilt as %d, want 1 (one record on disk)", g)
 	}
-	if _, ok := s2.Get(keyOf(t, rec)); !ok {
+	if _, ok := s2.Get(recKey(t, rec)); !ok {
 		t.Fatal("record lost after manifest recovery")
 	}
 
@@ -178,7 +178,7 @@ func TestStoreInjectedWriteFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			armed = false
-			k := keyOf(t, rec)
+			k := recKey(t, rec)
 			if _, ok := s.Get(k); ok {
 				t.Fatalf("%s: corrupt record served", point)
 			}
@@ -211,7 +211,7 @@ func TestStoreInjectedStaleAssume(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed = false
-	got, ok := s.Get(keyOf(t, rec))
+	got, ok := s.Get(recKey(t, rec))
 	if !ok {
 		t.Fatal("stale-assume record must pass framing checks")
 	}
@@ -233,7 +233,7 @@ func TestStoreFsck(t *testing.T) {
 		}
 	}
 	// Corrupt one on disk behind the store's back.
-	path := s.pathFor(keyOf(t, bad))
+	path := s.pathFor(recKey(t, bad))
 	b, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestStoreGC(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond) // distinct mod times for the LRU order
 	}
-	s.Quarantine(keyOf(t, recs[0]), "test")
+	s.Quarantine(recKey(t, recs[0]), "test")
 	infos, err := s.List()
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestStoreGC(t *testing.T) {
 		}
 	}
 	// The newest record is the last one GC would evict.
-	if _, ok := s.Get(keyOf(t, recs[3])); !ok {
+	if _, ok := s.Get(recKey(t, recs[3])); !ok {
 		t.Fatal("newest record evicted before older ones")
 	}
 }
